@@ -8,7 +8,7 @@ max_len = 5):
   vs the object tree (:func:`~repro.core.fpgrowth.fpgrowth_object`);
 * Eclat / Apriori — packed uint64 bitsets vs the dense boolean matrix
   (:mod:`repro.core.legacy`);
-* SON phase-2 counting — packed vs dense candidate counting;
+* candidate counting — packed vs dense exact support counts;
 * rule generation — the columnar RuleTable kernel
   (:func:`~repro.core.rules.generate_rule_table`) vs the legacy
   per-split object path (:func:`~repro.core.rules.generate_rules_legacy`),
@@ -62,7 +62,6 @@ from repro.core.rules import (  # noqa: E402
     generate_rule_table,
     generate_rules_legacy,
 )
-from repro.parallel.partition import count_candidates  # noqa: E402
 from repro.traces import (  # noqa: E402
     PAI_KEYWORDS,
     PAIConfig,
@@ -130,15 +129,15 @@ def run(n_jobs: int, repeats: int, check_only: bool) -> dict:
         stages[f"mine-{name}-legacy"] = l_sec
         speedups[name] = l_sec / k_sec if k_sec > 0 else float("inf")
 
-    # SON phase 2: exact candidate counting, packed vs dense
+    # exact candidate counting, packed vs dense
     candidates = set(reference)
     c_sec, packed_counts = _best_of(
-        lambda: count_candidates(db, candidates), repeats
+        lambda: db.bitmaps().counts_for(candidates), repeats
     )
     d_sec, dense_counts = _best_of(
         lambda: count_candidates_dense(db, candidates), repeats
     )
-    assert packed_counts == dense_counts, "phase-2 counting answers differ"
+    assert packed_counts == dense_counts, "candidate counting answers differ"
     stages["count-candidates-kernel"] = c_sec
     stages["count-candidates-legacy"] = d_sec
     speedups["count-candidates"] = d_sec / c_sec if c_sec > 0 else float("inf")

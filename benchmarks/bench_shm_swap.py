@@ -24,11 +24,7 @@ This benchmark measures both sides of that claim at 1/2/4 shards:
 
 Results land in the ``hot_swap`` section of ``BENCH_serve.json``; the
 acceptance bar is >= 5x lower per-shard swap latency with shm at 4
-shards.  A second measurement mines the PAI database through the
-process backend under the **spawn** start method (possible at all only
-because workers attach the published database instead of relying on
-fork inheritance) and merges a ``process_backend_spawn`` point into
-``BENCH_mining.json``.
+shards.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from repro.shm.segment import NO_SHM_ENV
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SERVE_JSON = REPO_ROOT / "BENCH_serve.json"
-MINING_JSON = REPO_ROOT / "BENCH_mining.json"
 
 N_RULES = 2000
 N_ITEMS = 120
@@ -218,46 +213,6 @@ async def measure_hot_swap(shard_counts: list[int]) -> list[dict]:
     return points
 
 
-def measure_spawn_mining(n_jobs: int) -> dict:
-    """Process-backend mining under spawn vs the serial oracle."""
-    from repro.core import MiningConfig
-    from repro.engine import ProcessBackend, SerialBackend
-    from repro.traces.synthetic.pai import (
-        PAIConfig,
-        generate_pai,
-        pai_preprocessor,
-    )
-
-    db = pai_preprocessor().run(generate_pai(PAIConfig(n_jobs=n_jobs))).database
-    config = MiningConfig()
-    t0 = time.perf_counter()
-    serial = SerialBackend().resolve(db).mine(db, config)
-    serial_s = time.perf_counter() - t0
-    resolved = ProcessBackend(n_workers=2, n_partitions=4).resolve(db)
-    t0 = time.perf_counter()
-    got = resolved.mine(db, config)
-    spawn_s = time.perf_counter() - t0
-    equal = dict(got.counts) == dict(serial.counts)
-    assert equal, "spawn-backend answers diverged from serial"
-    point = {
-        "trace": "pai",
-        "n_jobs": n_jobs,
-        "start_method": multiprocessing.get_start_method(),
-        "effective_plan": resolved.effective_plan,
-        "serial_seconds": serial_s,
-        "process_seconds": spawn_s,
-        "answers_equal": equal,
-        "n_itemsets": len(dict(got.counts)),
-    }
-    print(
-        f"spawn mining: plan={point['effective_plan']} serial "
-        f"{serial_s:.2f}s vs process {spawn_s:.2f}s on one box — "
-        f"answers equal",
-        flush=True,
-    )
-    return point
-
-
 def _merge_section(path: Path, key: str, value, *, default_doc: dict) -> None:
     doc = json.loads(path.read_text()) if path.exists() else dict(default_doc)
     doc[key] = value
@@ -271,10 +226,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--shards", type=int, nargs="+", default=[1, 2, 4],
         help="shard counts to sweep",
-    )
-    parser.add_argument(
-        "--spawn-jobs", type=int, default=20_000,
-        help="PAI jobs for the spawn-backend mining point (0 skips it)",
     )
     parser.add_argument(
         "--min-ratio", type=float, default=5.0,
@@ -299,14 +250,6 @@ def main(argv=None) -> int:
         default_doc={"benchmark": "serve_throughput"},
     )
     print(f"wrote hot_swap section ({len(points)} points) to {SERVE_JSON}")
-
-    if args.spawn_jobs:
-        spawn_point = measure_spawn_mining(args.spawn_jobs)
-        _merge_section(
-            MINING_JSON, "process_backend_spawn", spawn_point,
-            default_doc={},
-        )
-        print(f"wrote process_backend_spawn point to {MINING_JSON}")
 
     top = points[-1]
     if args.min_ratio and top["shards"] >= max(args.shards):

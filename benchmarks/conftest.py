@@ -92,7 +92,7 @@ def paper_config():
 @pytest.fixture(scope="session")
 def engine():
     """Session-wide mining engine with a shared itemset cache."""
-    return MiningEngine(backend="auto")
+    return MiningEngine()
 
 
 @pytest.fixture(scope="session")

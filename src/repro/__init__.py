@@ -18,12 +18,11 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.traces` — synthetic PAI / SuperCloud / Philly traces;
 * :mod:`repro.cluster` — the GPU-cluster simulator substrate;
 * :mod:`repro.analysis` — the end-to-end workflow and case studies;
-* :mod:`repro.engine` — the unified mining engine (pluggable execution
-  backends, content-addressed itemset cache, per-stage instrumentation);
+* :mod:`repro.engine` — the unified mining engine (one in-process
+  mining plan, content-addressed itemset cache, per-stage
+  instrumentation);
 * :mod:`repro.serve` — online rule serving (persistent RuleBook,
   inverted-index matcher, asyncio service with batching/backpressure);
-* :mod:`repro.parallel` — SON phase primitives used by the engine's
-  partitioned backends;
 * :mod:`repro.dataframe` — the minimal columnar-table substrate;
 * :mod:`repro.viz` — figure data (CDFs, box stats, rule scatters).
 """
@@ -57,15 +56,7 @@ from .core import (
     mine_rules,
     prune_rules,
 )
-from .engine import (
-    BACKENDS,
-    EngineStats,
-    ItemsetCache,
-    MiningEngine,
-    default_engine,
-    get_backend,
-)
-from .parallel import son_mine  # deprecated shim, kept for one release
+from .engine import EngineStats, ItemsetCache, MiningEngine, default_engine
 from .predict import RuleClassifier, evaluate_predictions, split_database
 from .serve import RuleBook, RuleIndex, RuleService, RuleServiceClient
 from .streaming import SlidingWindowMiner
@@ -115,10 +106,6 @@ __all__ = [
     "default_engine",
     "EngineStats",
     "ItemsetCache",
-    "BACKENDS",
-    "get_backend",
-    # parallel (deprecated shim)
-    "son_mine",
     # prediction
     "RuleClassifier",
     "evaluate_predictions",

@@ -90,8 +90,7 @@ class AnalysisResult:
 class InterpretableAnalysis:
     """Configured workflow: run once per (trace table, keyword set).
 
-    An *engine* can be injected to pin the execution backend or isolate
-    the cache; by default the process-wide shared engine is used, so
+    An *engine* can be injected to isolate or disable the cache; by default the process-wide shared engine is used, so
     successive studies on identical trace content reuse one mining pass.
     """
 

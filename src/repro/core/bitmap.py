@@ -10,9 +10,7 @@ vector is packed 64 transactions per ``uint64`` word, so
 * memory drops 8× (one *bit* per transaction instead of one byte);
 * an itemset's support is ``popcount(AND of word rows)`` — the AND
   touches 64 transactions per word, and the popcount is a 16-bit
-  lookup-table gather, both releasing the GIL inside numpy;
-* partition views of a 64-aligned transaction range are word *slices*
-  of the parent's bitmaps, so SON workers inherit them for free.
+  lookup-table gather, both releasing the GIL inside numpy.
 
 Bit layout: transaction ``t`` lives in word ``t >> 6`` at bit ``t & 63``
 (little-endian within the word).  Pad bits past ``n_transactions`` are
@@ -150,30 +148,6 @@ class PackedBitmaps:
             )
         return cls(padded.view(_LE_U64).astype(np.uint64, copy=False), n)
 
-    # -- views ---------------------------------------------------------------
-    def slice_range(self, start: int, stop: int) -> "PackedBitmaps":
-        """Bitmaps of the transaction range ``[start, stop)``.
-
-        *start* must be 64-aligned so the range maps to whole words; the
-        word block is a cheap slice-copy of this object's rows (with the
-        tail bits of the final word masked off), which is how SON
-        partitions inherit the parent database's bitmaps instead of
-        rebuilding their own from scratch.
-        """
-        if start % _WORD_BITS != 0:
-            raise ValueError(f"start must be a multiple of 64, got {start}")
-        if not 0 <= start <= stop <= self.n_transactions:
-            raise ValueError(f"invalid range [{start}, {stop})")
-        n = stop - start
-        w0 = start >> 6
-        w1 = w0 + (n + _WORD_BITS - 1) // _WORD_BITS
-        # always copy: the tail masking below must never touch self.words
-        words = self.words[:, w0:w1].copy()
-        tail = n % _WORD_BITS
-        if tail and words.shape[1]:
-            words[:, -1] &= np.uint64((1 << tail) - 1)
-        return PackedBitmaps(words, n)
-
     # -- counting ------------------------------------------------------------
     @property
     def n_items(self) -> int:
@@ -291,8 +265,7 @@ def clear_bitmap_cache() -> None:
 
 
 # -- kernel counters ----------------------------------------------------------
-#: kernel name → [seconds, calls]; global (not thread-local) so threaded
-#: backend workers report into the same ledger
+#: kernel name → [seconds, calls]; one process-wide ledger behind a lock
 _KERNELS: dict[str, list[float]] = {}
 _KERNEL_LOCK = threading.Lock()
 

@@ -1,7 +1,7 @@
 """Dense-boolean reference implementations of the mining kernels.
 
 Before the packed-bitmap kernel (:mod:`repro.core.bitmap`), Eclat,
-Apriori and SON candidate counting all ran over a dense boolean
+Apriori and candidate counting all ran over a dense boolean
 occurrence matrix of ``n_items × n_transactions`` *bytes*.  Those code
 paths live on here, verbatim, for two jobs:
 

@@ -48,8 +48,8 @@ __all__ = [
     "generate_rules_legacy",
 ]
 
-#: kernel counter fed by both paths when an incomplete (SON-partitioned)
-#: itemset table forces candidate splits to be dropped; ``calls`` carries
+#: kernel counter fed by both paths when an itemset table that is not
+#: downward-closed forces candidate splits to be dropped; ``calls`` carries
 #: the number of dropped candidates so ``--profile`` surfaces them.
 SKIPPED_KERNEL = "rules-skipped-lookups"
 
@@ -158,7 +158,6 @@ def generate_rules(
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> list[AssociationRule]:
     """Enumerate and score rules from *itemsets* (list-of-objects API).
 
@@ -174,10 +173,6 @@ def generate_rules(
         If given, only rules containing at least one of these item ids are
         emitted — the keyword-relevance restriction of Sec. III-D, applied
         during generation to avoid materialising irrelevant rules.
-    expand_only:
-        If given, only these itemsets are split into rules (subset
-        supports still come from the full table) — the hook the parallel
-        rule generator uses to shard work across processes.
 
     Rules are returned sorted by (lift, confidence, support) descending,
     ties broken by rendered text so output order is deterministic.  This
@@ -189,7 +184,6 @@ def generate_rules(
         min_lift=min_lift,
         min_confidence=min_confidence,
         keyword_ids=keyword_ids,
-        expand_only=expand_only,
     ).to_rules()
 
 
@@ -198,7 +192,6 @@ def generate_rule_table(
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> RuleTable:
     """Columnar rule generation: enumerate, score and filter as arrays.
 
@@ -206,8 +199,8 @@ def generate_rule_table(
     candidate set, same IEEE-double metric arithmetic, same deterministic
     output order) but no per-rule object is created: the result is a
     :class:`RuleTable` whose rows are exactly the surviving rules.
-    Candidate splits whose subset supports are missing from an incomplete
-    (SON-partitioned) table are counted in ``table.n_skipped_lookups``
+    Candidate splits whose subset supports are missing from a table that
+    is not downward-closed are counted in ``table.n_skipped_lookups``
     and surfaced through the ``rules-skipped-lookups`` kernel counter.
     """
     _validate_params(min_lift, min_confidence)
@@ -230,16 +223,9 @@ def generate_rule_table(
         max_id = max((t[-1] for t in table_sets if t), default=-1)
         max_len = max((len(t) for t in table_sets), default=0)
 
-        # ---- surface itemsets to expand, grouped by length ----
-        if expand_only is not None:
-            surface: Iterable[tuple[frozenset[int], int]] = (
-                (itemset, counts[itemset]) for itemset in expand_only
-            )
-        else:
-            surface = counts.items()
-
+        # ---- itemsets to expand, grouped by length ----
         by_len: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
-        for itemset, count_xy in surface:
+        for itemset, count_xy in counts.items():
             if len(itemset) < 2:
                 continue
             if keywords is not None and not (itemset & keywords):
@@ -429,7 +415,6 @@ def generate_rules_legacy(
     min_lift: float = 1.5,
     min_confidence: float = 0.0,
     keyword_ids: Iterable[int] | None = None,
-    expand_only: Iterable[frozenset[int]] | None = None,
 ) -> list[AssociationRule]:
     """The original per-split object path, kept as the correctness oracle.
 
@@ -448,13 +433,6 @@ def generate_rules_legacy(
     vocabulary = itemsets.vocabulary
     rules: list[AssociationRule] = []
 
-    if expand_only is not None:
-        surface: Iterable[tuple[frozenset[int], int]] = (
-            (itemset, counts[itemset]) for itemset in expand_only
-        )
-    else:
-        surface = counts.items()
-
     # enumerate every split first, then score the whole batch with numpy:
     # the metric arithmetic is identical IEEE-double arithmetic to
     # compute_metrics, but runs once over arrays instead of per split, and
@@ -466,7 +444,7 @@ def generate_rules_legacy(
     count_y_l: list[int] = []
     n_skipped = 0
 
-    for itemset, count_xy in surface:
+    for itemset, count_xy in counts.items():
         if len(itemset) < 2:
             continue
         if keywords is not None and not (itemset & keywords):
@@ -480,8 +458,8 @@ def generate_rules_legacy(
                 count_x = counts.get(antecedent_ids)
                 count_y = counts.get(consequent_ids)
                 if count_x is None or count_y is None:
-                    # cannot happen for a downward-closed itemset table, but
-                    # partitioned (SON) candidate sets may be incomplete
+                    # cannot happen for a downward-closed itemset table
+                    # (every miner's output); hand-built ones may be incomplete
                     n_skipped += 1
                     continue
                 antecedents.append(antecedent_ids)

@@ -27,10 +27,6 @@ from .items import Item, ItemVocabulary, as_item
 
 __all__ = ["TransactionDatabase"]
 
-#: SON partition boundaries snap to this many transactions so that every
-#: partition starts on a bitmap word boundary (see :meth:`split`)
-_ALIGN = 64
-
 
 class TransactionDatabase:
     """An immutable set of transactions over an interned item vocabulary."""
@@ -39,7 +35,6 @@ class TransactionDatabase:
         "vocabulary",
         "indptr",
         "indices",
-        "shm_segment",
         "_bitmaps_cache",
         "_fingerprint_cache",
     )
@@ -63,10 +58,6 @@ class TransactionDatabase:
             self.indices.min() < 0 or self.indices.max() >= len(vocabulary)
         ):
             raise ValueError("item id out of vocabulary range")
-        #: the shared-memory attachment backing this database's arrays,
-        #: when it came from repro.shm.attach_database — kept here so the
-        #: segment mapping lives exactly as long as the views into it
-        self.shm_segment = None
         self._bitmaps_cache = None
         self._fingerprint_cache: str | None = None
 
@@ -307,7 +298,7 @@ class TransactionDatabase:
         return TransactionDatabase(self.vocabulary, new_indptr, new_indices)
 
     def sample(self, indices: Sequence[int]) -> "TransactionDatabase":
-        """Select a subset of transactions by row index (for partitioning)."""
+        """Select a subset of transactions by row index (train/test splits)."""
         idx = np.asarray(indices, dtype=np.int64)
         lengths = np.diff(self.indptr)[idx]
         new_indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
@@ -316,51 +307,3 @@ class TransactionDatabase:
             np.concatenate(parts) if parts else np.asarray([], dtype=np.int32)
         )
         return TransactionDatabase(self.vocabulary, new_indptr, new_indices)
-
-    def txn_range(self, start: int, stop: int) -> "TransactionDatabase":
-        """The contiguous transaction range ``[start, stop)`` as a database.
-
-        Zero-copy: the returned database's ``indices``/``indptr`` are
-        views of this one's arrays.  When this database's packed bitmaps
-        are already built and *start* is 64-aligned, the range inherits
-        a word-slice of them instead of rebuilding — the mechanism SON
-        partition workers use to reuse the parent's bitmaps.
-        """
-        if not 0 <= start <= stop <= len(self):
-            raise ValueError(f"invalid transaction range [{start}, {stop})")
-        lo = self.indptr[start]
-        sub = TransactionDatabase(
-            self.vocabulary,
-            self.indptr[start : stop + 1] - lo,
-            self.indices[lo : self.indptr[stop]],
-        )
-        if self._bitmaps_cache is not None and start % _ALIGN == 0:
-            sub._bitmaps_cache = self._bitmaps_cache.slice_range(start, stop)
-        return sub
-
-    def partition_bounds(self, n_parts: int) -> np.ndarray:
-        """Contiguous partition boundaries for :meth:`split`.
-
-        Evenly spaced, but snapped down to 64-transaction multiples when
-        the database is large enough — aligned partitions start on a
-        bitmap word boundary, so their bitmaps are word slices of the
-        parent's (see :meth:`txn_range`).  Alignment changes *which*
-        candidates SON phase 1 proposes, never the final answer (phase 2
-        recounts every candidate exactly).
-        """
-        if n_parts < 1:
-            raise ValueError("n_parts must be >= 1")
-        n = len(self)
-        bounds = np.linspace(0, n, n_parts + 1).astype(np.int64)
-        if n >= n_parts * _ALIGN:
-            bounds[1:-1] = (bounds[1:-1] // _ALIGN) * _ALIGN
-        return bounds
-
-    def split(self, n_parts: int) -> list["TransactionDatabase"]:
-        """Split into *n_parts* contiguous chunks (for SON partitioned mining)."""
-        bounds = self.partition_bounds(n_parts)
-        return [
-            self.txn_range(int(bounds[k]), int(bounds[k + 1]))
-            for k in range(n_parts)
-            if bounds[k + 1] > bounds[k]
-        ]

@@ -1,48 +1,25 @@
-"""Unified mining engine: backends × cache × instrumented pipeline.
+"""Unified mining engine: one serial plan × cache × instrumented pipeline.
 
 Single mining entry point for the whole stack (see DESIGN.md §6):
 
-* :mod:`repro.engine.backends` — pluggable :class:`ExecutionBackend`
-  implementations (``serial`` / ``threaded`` / ``process`` / ``auto``)
-  behind the :data:`BACKENDS` registry;
+* :mod:`repro.engine.engine` — :class:`MiningEngine`, which mines with
+  one in-process pass of the configured algorithm (its plan, named by
+  :class:`SerialBackend`), plus the process-wide :func:`default_engine`;
 * :mod:`repro.engine.cache` — content-addressed, LRU-bounded
   :class:`ItemsetCache` keyed by database fingerprint × mining config;
 * :mod:`repro.engine.stats` — per-stage :class:`EngineStats`
-  instrumentation;
-* :mod:`repro.engine.engine` — :class:`MiningEngine` tying it together,
-  plus the process-wide :func:`default_engine`.
+  instrumentation.
 """
 
-from .backends import (
-    AUTO_PROCESS_THRESHOLD,
-    AUTO_THREADED_THRESHOLD,
-    AutoBackend,
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadedBackend,
-    get_backend,
-    register_backend,
-)
 from .cache import CacheStats, ItemsetCache, LRUCache
-from .engine import MiningEngine, default_engine, set_default_engine
+from .engine import MiningEngine, SerialBackend, default_engine, set_default_engine
 from .stats import EngineStats, LatencyHistogram, StageStats
 
 __all__ = [
     "MiningEngine",
     "default_engine",
     "set_default_engine",
-    "ExecutionBackend",
     "SerialBackend",
-    "ThreadedBackend",
-    "ProcessBackend",
-    "AutoBackend",
-    "BACKENDS",
-    "register_backend",
-    "get_backend",
-    "AUTO_THREADED_THRESHOLD",
-    "AUTO_PROCESS_THRESHOLD",
     "ItemsetCache",
     "LRUCache",
     "CacheStats",

@@ -1,9 +1,10 @@
 """The unified mining engine — single entry point for every caller.
 
-:class:`MiningEngine` composes an execution backend (how a mining pass
-runs) with a content-addressed itemset cache (whether it needs to run at
-all) and the staged pipeline ``preprocess → mine → generate-rules →
-prune`` that instruments each stage into :class:`EngineStats`.
+:class:`MiningEngine` composes the one mining plan (a single in-process
+pass of the configured algorithm) with a content-addressed itemset cache
+(whether it needs to run at all) and the staged pipeline ``preprocess →
+mine → generate-rules → prune`` that instruments each stage into
+:class:`EngineStats`.
 
 Every layer of the stack routes through here: the one-call helpers in
 :mod:`repro.core.mining`, the :class:`InterpretableAnalysis` workflow and
@@ -15,7 +16,6 @@ same trace content never mines twice.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,12 +23,11 @@ import numpy as np
 from ..core.bitmap import kernel_delta, kernel_snapshot, kernel_timer
 from ..core.itemsets import FrequentItemsets
 from ..core.items import Item, as_item
-from ..core.mining import KeywordRuleSet, MiningConfig
+from ..core.mining import ALGORITHMS, KeywordRuleSet, MiningConfig
 from ..core.pruning import PruningReport, prune_rule_table
 from ..core.rules import SKIPPED_KERNEL, generate_rule_table
 from ..core.ruletable import RuleTable
 from ..core.transactions import TransactionDatabase
-from .backends import ExecutionBackend, get_backend
 from .cache import CacheStats, ItemsetCache
 from .stats import EngineStats, StageStats, StageTimer
 
@@ -39,36 +38,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..streaming.bitwindow import StreamingBitmapWindow
     from ..streaming.refresh import TrackedRules
 
-__all__ = ["MiningEngine", "default_engine", "set_default_engine"]
+__all__ = ["MiningEngine", "SerialBackend", "default_engine", "set_default_engine"]
+
+
+class SerialBackend:
+    """The engine's one execution plan: a single in-process mining pass.
+
+    Mining itself is :func:`_mine`; this object only names the plan
+    (recorded in :class:`EngineStats` and RuleBook headers) and lets
+    callers ask which plan runs a database (always this one).
+    """
+
+    name = "serial"
+
+    def resolve(self, db: TransactionDatabase) -> "SerialBackend":
+        return self
+
+    def __repr__(self) -> str:
+        return "SerialBackend()"
+
+
+def _mine(db: TransactionDatabase, config: MiningConfig) -> FrequentItemsets:
+    """One pass of ``ALGORITHMS[config.algorithm]`` over *db*."""
+    counts = ALGORITHMS[config.algorithm](db, config.min_support, config.max_len)
+    return FrequentItemsets(
+        counts,
+        db.vocabulary,
+        len(db),
+        min_support=config.min_support,
+        max_len=config.max_len,
+    )
 
 
 class MiningEngine:
-    """Backend + cache + instrumented pipeline, in one object.
+    """Serial mining + cache + instrumented pipeline, in one object.
 
     Parameters
     ----------
-    backend:
-        A backend name from :data:`~repro.engine.backends.BACKENDS`
-        (``"auto"`` by default) or an already-built
-        :class:`ExecutionBackend` instance.
-    n_workers, n_partitions:
-        Forwarded to the backend factory when *backend* is a name.
     cache:
         ``True`` (own LRU cache), ``False``/``None`` (no caching), or an
         :class:`ItemsetCache` instance to share between engines.
     """
 
-    def __init__(
-        self,
-        backend: str | ExecutionBackend = "auto",
-        *,
-        n_workers: int | None = None,
-        n_partitions: int | None = None,
-        cache: bool | ItemsetCache | None = True,
-    ):
-        if isinstance(backend, str):
-            backend = get_backend(backend, n_workers=n_workers, n_partitions=n_partitions)
-        self.backend: ExecutionBackend = backend
+    def __init__(self, *, cache: bool | ItemsetCache | None = True):
+        self.backend = SerialBackend()
         if cache is True:
             self.cache: ItemsetCache | None = ItemsetCache()
         elif cache is False or cache is None:
@@ -77,10 +90,7 @@ class MiningEngine:
             self.cache = cache
 
     def __repr__(self) -> str:
-        return (
-            f"MiningEngine(backend={self.backend!r}, "
-            f"cache={'off' if self.cache is None else len(self.cache)})"
-        )
+        return f"MiningEngine(cache={'off' if self.cache is None else len(self.cache)})"
 
     # -- mining ------------------------------------------------------------------
     def cache_key(self, db: TransactionDatabase, config: MiningConfig) -> tuple:
@@ -90,7 +100,7 @@ class MiningEngine:
     def mine(
         self, db: TransactionDatabase, config: MiningConfig = MiningConfig()
     ) -> FrequentItemsets:
-        """Frequent itemsets of *db* — cached, backend-executed."""
+        """Frequent itemsets of *db* — cached, mined in-process."""
         itemsets, _ = self.mine_with_status(db, config)
         return itemsets
 
@@ -99,12 +109,12 @@ class MiningEngine:
     ) -> tuple[FrequentItemsets, str]:
         """Like :meth:`mine`, also reporting ``"hit"``/``"miss"``/``"off"``."""
         if self.cache is None:
-            return self.backend.resolve(db).mine(db, config), "off"
+            return _mine(db, config), "off"
         key = self.cache_key(db, config)
         cached = self.cache.get(key)
         if cached is not None:
             return cached, "hit"
-        itemsets = self.backend.resolve(db).mine(db, config)
+        itemsets = _mine(db, config)
         self.cache.put(key, itemsets)
         return itemsets, "miss"
 
@@ -230,25 +240,6 @@ class MiningEngine:
         with StageTimer() as t:
             itemsets, cache_status = self.mine_with_status(db, config)
         mine_kernels = kernel_delta(before, kernel_snapshot())
-        resolved = self.backend.resolve(db)
-        if resolved is not self.backend:
-            stats.backend = f"{self.backend.name}:{resolved.name}"
-        if cache_status == "hit":
-            # no mining ran, so the backend executed no plan this time
-            stats.backend_effective = "cache"
-        else:
-            stats.backend_effective = getattr(resolved, "effective_plan", None)
-            stats.backend_downgraded = bool(
-                getattr(resolved, "downgraded", False)
-            )
-            if stats.backend_downgraded:
-                warnings.warn(
-                    f"backend {stats.backend} downgraded to "
-                    f"{stats.backend_effective}: shared-memory plane "
-                    "unavailable, pickling partitions instead",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         stats.add(
             StageStats(
                 "mine",
@@ -343,9 +334,8 @@ def _prune_into_ruleset(
     )
 
 
-#: process-wide default engine: auto backend, shared content-addressed
-#: cache — what the one-call helpers and the workflow use unless told
-#: otherwise
+#: process-wide default engine with a shared content-addressed cache —
+#: what the one-call helpers and the workflow use unless told otherwise
 _DEFAULT_ENGINE: MiningEngine | None = None
 
 

@@ -67,10 +67,10 @@ class EngineStats:
 
     ``rules_skipped`` counts antecedent/consequent splits dropped during
     rule generation because a sub-itemset's support was missing from the
-    table (possible with SON-style partitioned mining, which can emit a
-    superset without every subset).  Silently losing those candidates
-    would skew the rule counts, so the engine surfaces the tally here and
-    the CLI ``--profile`` footer warns when it is non-zero.
+    table (possible only for a hand-built itemset table that is not
+    downward-closed; every miner's output is).  Silently losing those
+    candidates would skew the rule counts, so the engine surfaces the
+    tally here and the CLI ``--profile`` footer warns when it is non-zero.
     """
 
     backend: str
@@ -78,13 +78,6 @@ class EngineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     rules_skipped: int = 0
-    #: the execution plan the resolved backend actually ran — e.g.
-    #: ``process:shm-spawn`` vs ``process:pickle`` — None when the
-    #: backend predates plan reporting (custom registrations)
-    backend_effective: str | None = None
-    #: True when the requested backend silently fell back to a slower
-    #: plan (e.g. shared memory unavailable → pickled partitions)
-    backend_downgraded: bool = False
 
     def add(self, stage: StageStats) -> None:
         self.stages.append(stage)
@@ -110,8 +103,6 @@ class EngineStats:
         """Machine-readable schema (documented in DESIGN.md §6)."""
         return {
             "backend": self.backend,
-            "backend_effective": self.backend_effective,
-            "backend_downgraded": self.backend_downgraded,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "rules_skipped": self.rules_skipped,
@@ -126,13 +117,8 @@ class EngineStats:
         attribution — which counting kernels ran, for how long, how many
         times (the CLI ``--profile`` flag).
         """
-        effective = (
-            f" effective={self.backend_effective}"
-            if self.backend_effective
-            else ""
-        )
         lines = [
-            f"engine stats — backend={self.backend}{effective} "
+            f"engine stats — backend={self.backend} "
             f"cache={self.cache_hits} hit / {self.cache_misses} miss "
             f"total={self.total_seconds:.3f}s"
         ]
@@ -146,11 +132,6 @@ class EngineStats:
                     lines.append(
                         f"    kernel {name:<16} {seconds:>8.3f}s  calls={calls}"
                     )
-        if self.backend_downgraded:
-            lines.append(
-                f"  warning: backend {self.backend} downgraded to "
-                f"{self.backend_effective} (shared-memory plane unavailable)"
-            )
         if self.rules_skipped:
             lines.append(
                 f"  warning: {self.rules_skipped} candidate split(s) skipped "

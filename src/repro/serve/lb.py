@@ -5,9 +5,8 @@ request?* — from the live signals every
 :class:`~repro.serve.router.ShardHandle` exposes: ``inflight`` (requests
 forwarded but not yet answered) and ``ewma_latency_s`` (exponentially
 weighted response latency).  Policies register in :data:`LB_POLICIES`
-exactly like mining backends register in
-:data:`~repro.engine.backends.BACKENDS`, so ``repro serve --lb-policy``
-enumerates them and downstream code can add its own (cost-weighted over
+(the idiom of the mining :data:`~repro.core.mining.ALGORITHMS`
+registry), so ``repro serve --lb-policy`` enumerates them and downstream code can add its own (cost-weighted over
 heterogeneous workers, session-affine, …) without touching the router.
 
 All three built-ins are deterministic — no randomness — which keeps the

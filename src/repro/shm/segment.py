@@ -29,9 +29,9 @@ Lifecycle:
 
 * a :class:`SegmentLease` is the *owner* handle: it registers in a
   module-level table whose atexit hook unlinks everything the process
-  still owns, so a drained service or finished mining run leaves
-  nothing behind; explicit :meth:`SegmentLease.unlink` is used by the
-  cluster parent to retire the previous generation right after a
+  still owns, so a drained service leaves nothing behind; explicit
+  :meth:`SegmentLease.unlink` is used by the cluster parent to retire
+  the previous generation right after a
   successful hot-swap (POSIX keeps the memory alive for every process
   still attached — unlink only removes the name);
 * an :class:`AttachedSegment` is a *reader* handle: it is unregistered
@@ -80,7 +80,7 @@ NAME_PREFIX = "rsm."
 #: where POSIX shared memory is enumerable (Linux); GC is a no-op elsewhere
 _SHM_DIR = "/dev/shm"
 
-#: environment switch disabling the whole data plane (``--no-shm``)
+#: environment switch disabling the rule plane (``repro serve --no-shm``)
 NO_SHM_ENV = "REPRO_NO_SHM"
 
 

@@ -10,7 +10,7 @@ incorporate a 1k-event delta.
 instead.  Incoming transactions are packed into **granules** of exactly
 64 transactions — one ``uint64`` word per item, the same bit layout and
 alignment as :class:`~repro.core.bitmap.PackedBitmaps` (bit ``t & 63``
-of word ``t >> 6``, matching ``partition_bounds``'s 64-alignment) — and
+of word ``t >> 6``, so a granule is exactly one bitmap word) — and
 the window slides by appending sealed granules at the tail and evicting
 whole granules at the head.  Every maintained statistic is updated by
 popcount *deltas on only the changed words*:
@@ -49,7 +49,7 @@ from ..core.transactions import TransactionDatabase
 __all__ = ["GRANULE", "StreamingBitmapWindow"]
 
 #: transactions per granule — one uint64 word per item, matching the
-#: packed-bitmap kernel's word width and partition alignment
+#: packed-bitmap kernel's word width
 GRANULE = 64
 
 _ONE = np.uint64(1)

@@ -6,7 +6,7 @@ synthetic generator running through the cluster-simulator substrate; see
 DESIGN.md §2 for the substitution argument.
 """
 
-from .loader import load_trace, save_trace
+from .loader import EmptyTraceError, load_trace, save_trace
 from .registry import TRACES, TraceDefinition, get_trace, list_traces
 from .stats import TraceStats, characterize, gini
 from .synthetic.pai import PAI_KEYWORDS, PAIConfig, generate_pai, pai_preprocessor
@@ -30,6 +30,7 @@ __all__ = [
     "list_traces",
     "save_trace",
     "load_trace",
+    "EmptyTraceError",
     "TraceStats",
     "characterize",
     "gini",

@@ -14,7 +14,11 @@ import os
 from ..dataframe import BooleanColumn, ColumnTable, NumericColumn, read_csv, write_csv
 from .registry import get_trace
 
-__all__ = ["save_trace", "load_trace", "REQUIRED_COLUMNS"]
+__all__ = ["save_trace", "load_trace", "EmptyTraceError", "REQUIRED_COLUMNS"]
+
+
+class EmptyTraceError(ValueError):
+    """A trace CSV with a header but no job rows: there is nothing to mine."""
 
 #: columns every saved trace must carry to be analysable by its preprocessor
 REQUIRED_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -50,6 +54,10 @@ def save_trace(table: ColumnTable, path: str | os.PathLike) -> None:
 def load_trace(path: str | os.PathLike, trace: str | None = None) -> ColumnTable:
     """Load a trace CSV; with *trace* given, validate its schema.
 
+    A validated trace must also hold at least one job, else
+    :class:`EmptyTraceError`; the preprocessors cannot type the columns
+    of a header-only file.
+
     Boolean flag columns that the CSV reader parsed as 0/1 numerics are
     restored to booleans, so a loaded trace behaves identically to a
     freshly generated one under the preprocessors.
@@ -64,6 +72,11 @@ def load_trace(path: str | os.PathLike, trace: str | None = None) -> ColumnTable
             raise ValueError(
                 f"CSV at {os.fspath(path)!r} is missing {definition.display_name} "
                 f"columns: {missing}"
+            )
+        if len(table) == 0:
+            raise EmptyTraceError(
+                f"CSV at {os.fspath(path)!r} has a header but no "
+                f"{definition.display_name} job rows"
             )
     for name in _FLAG_COLUMNS:
         if name in table:

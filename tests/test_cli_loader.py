@@ -1,11 +1,19 @@
 """Tests for the CLI and the trace CSV loader."""
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.dataframe import BooleanColumn, ColumnTable, write_csv
-from repro.traces import PhillyConfig, generate_philly, philly_preprocessor
-from repro.traces.loader import load_trace, save_trace
+from repro.traces import (
+    PAIConfig,
+    PhillyConfig,
+    generate_pai,
+    generate_philly,
+    philly_preprocessor,
+)
+from repro.traces.loader import REQUIRED_COLUMNS, load_trace, save_trace
 
 
 class TestLoader:
@@ -97,12 +105,13 @@ class TestCli:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_backend_exits_2(self, capsys):
+        # mining has one plan; there is no --backend option to pick another
         code = main(
             ["analyze", "--trace", "pai", "--keyword", "Failed",
-             "--backend", "quantum"]
+             "--backend", "serial"]
         )
         assert code == 2
-        assert "--backend" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
@@ -114,10 +123,25 @@ class TestCli:
     def test_invalid_workers_exits_2(self, capsys):
         code = main(
             ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "1500", "--backend", "threaded", "--workers", "0"]
+             "--n-jobs", "1500", "--workers", "2"]
         )
         assert code == 2
-        assert "n_workers" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trace", sorted(REQUIRED_COLUMNS))
+    @pytest.mark.parametrize("command", ["analyze", "mine-rulebook"])
+    def test_header_only_csv_exits_2(self, tmp_path, capsys, trace, command):
+        path = tmp_path / f"{trace}.csv"
+        path.write_text(",".join(REQUIRED_COLUMNS[trace]) + "\n")
+        args = [command, "--trace", trace, "--input", str(path)]
+        if command == "analyze":
+            args += ["--keyword", "Failed"]
+        else:
+            args += ["--output", str(tmp_path / "book.jsonl")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no" in err and "job rows" in err
+        assert err.count("\n") == 1  # one line, no traceback
 
     def test_missing_input_file_is_error_exit(self, capsys):
         code = main(
@@ -140,14 +164,35 @@ class TestCliEngineFlags:
         for stage in ("preprocess", "mine", "generate-rules", "prune"):
             assert stage in out
 
-    def test_process_backend(self, capsys):
+    def test_profile_mine_kernels_within_wall(self, tmp_path, capsys):
+        """--profile never attributes more kernel time to mine than it took.
+
+        The stage's kernels run one after another on one thread, so their
+        seconds sum to at most its wall; 50k transactions is large enough
+        that a plan with concurrent workers would overlap them.
+        """
+        path = tmp_path / "pai.csv"
+        save_trace(
+            generate_pai(
+                PAIConfig(n_jobs=50_000, seed=3, columnar=True, use_scheduler=False)
+            ),
+            path,
+        )
         code = main(
-            ["analyze", "--trace", "supercloud", "--keyword", "Failed",
-             "--n-jobs", "2000", "--backend", "process", "--workers", "2",
-             "--max-cause", "2"]
+            ["analyze", "--trace", "pai", "--keyword", "Failed",
+             "--input", str(path), "--no-cache", "--profile"]
         )
         assert code == 0
-        assert "backend=process" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, l in enumerate(lines) if l.split()[:1] == ["mine"])
+        wall = float(lines[start].split()[1].rstrip("s"))
+        kernels = []
+        for line in lines[start + 1:]:
+            if not line.startswith("    kernel "):
+                break
+            kernels.append(float(line.split()[2].rstrip("s")))
+        assert kernels, "the mine stage reported no kernels"
+        assert sum(kernels) <= wall
 
     def test_no_cache_flag(self, capsys):
         code = main(
@@ -228,6 +273,28 @@ class TestServeCli:
 
         book = RuleBook.load(book_path)
         assert book.keywords == get_trace("pai").keywords
+
+    def test_mine_rulebook_deterministic(self, tmp_path, capsys):
+        """Same CSV in, byte-identical RuleBook out, mined by the serial plan."""
+        csv_path = tmp_path / "pai.csv"
+        save_trace(
+            generate_pai(
+                PAIConfig(n_jobs=3000, seed=7, columnar=True, use_scheduler=False)
+            ),
+            csv_path,
+        )
+        books = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.jsonl"
+            assert main(
+                ["mine-rulebook", "--trace", "pai", "--input", str(csv_path),
+                 "--output", str(out), "--no-cache"]
+            ) == 0
+            books.append(out.read_bytes())
+        assert books[0] == books[1]
+        header = json.loads(books[0].split(b"\n", 1)[0])
+        assert header["backend"] == "serial"
+        assert header["n_rules"] > 0
 
     def test_match_missing_rulebook_exits_2(self, capsys):
         code = main(

@@ -42,7 +42,6 @@ from repro.core.legacy import (
     eclat_dense,
 )
 from repro.core.metrics import compute_metrics
-from repro.parallel.partition import count_candidates
 
 # -- strategies ---------------------------------------------------------------
 
@@ -160,51 +159,6 @@ def test_empty_database():
     assert bm.item_counts().tolist() == [0] * _N_ITEMS
 
 
-# -- slice_range / txn_range inheritance --------------------------------------
-
-
-class TestSliceRange:
-    def test_matches_fresh_build(self):
-        rng = np.random.default_rng(11)
-        raw = [list(np.flatnonzero(rng.random(_N_ITEMS) < 0.3)) for _ in range(200)]
-        db = _make_db(raw)
-        parent = db.bitmaps()
-        for start, stop in [(0, 64), (64, 200), (128, 130), (0, 200), (64, 64)]:
-            view = parent.slice_range(start, stop)
-            fresh = _make_db(raw[start:stop]).bitmaps()
-            assert np.array_equal(view.words, fresh.words)
-
-    def test_does_not_mutate_parent(self):
-        db = _make_db([[0]] * 5)
-        parent = db.bitmaps()
-        before = parent.words.copy()
-        parent.slice_range(0, 2)  # tail masking must act on a copy
-        assert np.array_equal(parent.words, before)
-
-    def test_unaligned_start_rejected(self):
-        db = _make_db([[0]] * 130)
-        with pytest.raises(ValueError):
-            db.bitmaps().slice_range(3, 10)
-
-    def test_txn_range_inherits_when_aligned(self):
-        db = _make_db([[0, 1]] * 130)
-        parent = db.bitmaps()
-        sub = db.txn_range(64, 130)
-        inherited = sub._bitmaps_cache
-        assert inherited is not None
-        assert np.array_equal(inherited.words, parent.words[:, 1:3])
-        # unaligned start: no inheritance, lazily rebuilt instead
-        assert db.txn_range(65, 130)._bitmaps_cache is None
-
-    def test_partition_bounds_align_when_large(self):
-        db = _make_db([[0]] * 1000)
-        bounds = db.partition_bounds(4)
-        assert bounds[0] == 0 and bounds[-1] == 1000
-        assert all(b % 64 == 0 for b in bounds[1:-1])
-        parts = db.split(4)
-        assert sum(len(p) for p in parts) == 1000
-
-
 # -- shared bitmap cache ------------------------------------------------------
 
 
@@ -283,7 +237,7 @@ def test_packed_miners_match_dense_on_traces(fixture, request):
 
 def test_count_candidates_matches_dense(supercloud_db):
     candidates = set(fpgrowth(supercloud_db, 0.05, 3))
-    packed = count_candidates(supercloud_db, candidates)
+    packed = supercloud_db.bitmaps().counts_for(candidates)
     dense = count_candidates_dense(supercloud_db, candidates)
     assert packed == dense
 

@@ -351,7 +351,7 @@ class TestEngineThreading:
     def test_analyze_populates_rule_table_and_kernel_split(self, supercloud_table):
         from repro.traces import supercloud_preprocessor
 
-        engine = MiningEngine(backend="serial", cache=False)
+        engine = MiningEngine(cache=False)
         result = engine.analyze(
             supercloud_preprocessor(),
             supercloud_table,
